@@ -7,7 +7,7 @@
 //! 2. **stream**: `PgtSource` → `ChunkedTextReader` → `discover_stream`
 //!    (resident memory O(chunk)), and
 //! 3. **parallel**: `PgtSource` → `ReadAheadChunks` (producer thread) →
-//!    `discover_stream_parallel` (worker pool + in-order merge) — the
+//!    `discover_stream` with a worker pool (order-insensitive fold) — the
 //!    pipeline-parallel engine, recording thread count and read-ahead
 //!    depth —
 //!
@@ -265,9 +265,10 @@ fn main() {
         let t = Instant::now();
         let file = BufReader::with_capacity(1 << 20, File::open(&path).expect("open temp dataset"));
         let mut reader = ChunkedTextReader::new(PgtSource::new(file), chunk_size);
-        let result = discoverer.discover_stream(std::iter::from_fn(|| {
-            reader.next_chunk().expect("stream temp dataset")
-        }));
+        let result = discoverer.discover_stream(
+            std::iter::from_fn(|| reader.next_chunk().expect("stream temp dataset")),
+            1,
+        );
         let secs = t.elapsed().as_secs_f64();
         (
             result,
@@ -280,7 +281,7 @@ fn main() {
         let t = Instant::now();
         let file = BufReader::with_capacity(1 << 20, File::open(&path).expect("open temp dataset"));
         let mut ahead = ReadAheadChunks::spawn(PgtSource::new(file), chunk_size, read_ahead);
-        let result = discoverer.discover_stream_parallel(
+        let result = discoverer.discover_stream(
             std::iter::from_fn(|| ahead.next_chunk().expect("stream temp dataset")),
             threads,
         );
@@ -425,7 +426,7 @@ fn main() {
                     File::open(&path).expect("open temp dataset"),
                 );
                 let mut ahead = ReadAheadChunks::spawn(PgtSource::new(file), mc, read_ahead);
-                let result = discoverer.discover_stream_parallel(
+                let result = discoverer.discover_stream(
                     std::iter::from_fn(|| ahead.next_chunk().expect("stream temp dataset")),
                     mt,
                 );

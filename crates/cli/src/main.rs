@@ -31,8 +31,9 @@
 //! With `--stream`, `discover` runs the pipeline-parallel streaming engine:
 //! a dedicated producer thread parses `--read-ahead` chunks ahead
 //! ([`pg_hive_graph::stream::ReadAheadChunks`]), a pool of `--threads`
-//! workers discovers chunks concurrently, and per-chunk schemas merge in
-//! input order (`Discoverer::discover_stream_parallel`) — so resident
+//! workers discovers chunks concurrently, and per-chunk schema states fold
+//! into one order-insensitive state (`Discoverer::absorb_stream_cached`,
+//! the engine under `Discoverer::discover_stream`) — so resident
 //! memory stays O(chunk × in-flight), the output is byte-identical for
 //! every thread count, and wall-clock tracks the slower of I/O and compute
 //! instead of their sum. Per-chunk progress (with the in-flight bound) goes
@@ -81,7 +82,7 @@ use pg_hive_graph::loader::load_text;
 use pg_hive_graph::stream::{csv::CsvSource, jsonl::JsonlSource, pgt::PgtSource};
 use pg_hive_graph::{
     ChunkedTextReader, GraphStats, LabelSetRegistry, MultiSource, PropertyGraph, RawGraphSource,
-    ReadAheadChunks, ReadAheadRecords, StreamSummary, StreamWarnings,
+    ReadAheadChunks, StreamSummary, StreamWarnings,
 };
 use std::io::{BufReader, Write};
 use std::path::Path;
@@ -435,18 +436,16 @@ fn run(args: Args) -> Result<ExitCode, String> {
         }
         Command::Stats { path, stream } => {
             let s = if stream.stream {
-                // Fold records directly — no resident graph at all, so
-                // --chunk-size is accepted for flag symmetry but unused.
-                // The producer thread parses --read-ahead batches ahead of
-                // the fold; --threads has no effect on the single-pass fold.
+                // Fold records directly on this thread — no resident graph
+                // and no producer thread, so --chunk-size, --threads and
+                // --read-ahead are accepted for flag symmetry but unused.
                 if stream.threads.is_some_and(|t| t > 1) {
                     eprintln!(
-                        "note: stats folds a single record stream; --threads has no effect \
-                         (--read-ahead still overlaps parsing with folding)"
+                        "note: stats folds a single record stream; --threads and \
+                         --read-ahead have no effect"
                     );
                 }
                 let source = open_source(&path, stream.input_format)?;
-                let source = ReadAheadRecords::spawn(source, stream.read_ahead);
                 let (s, dangling) = pg_hive_graph::stats::stream_stats(source)
                     .map_err(|e| format!("parse {path}: {e}"))?;
                 if dangling > 0 {

@@ -78,8 +78,8 @@ use pg_hive_core::schema::SchemaGraph;
 use pg_hive_core::serialize::pg_schema_strict;
 use pg_hive_core::sigcache::DEFAULT_CACHE_CAP;
 use pg_hive_core::snapshot::{
-    context_snapshot, context_snapshot_cached, sigcache_from_snapshot, FileCheckpoint,
-    ResumeContext, Snapshot, SnapshotConfig, WatchCheckpoint,
+    context_snapshot, context_snapshot_cached, rotate_chain, sigcache_from_snapshot,
+    FileCheckpoint, ResumeContext, Snapshot, SnapshotConfig, WatchCheckpoint,
 };
 use pg_hive_core::{diff_schemas, AbsorbReport, Discoverer, SchemaState, SignatureCache};
 use pg_hive_graph::stream::{csv::CsvSource, jsonl::JsonlSource, pgt::PgtSource};
@@ -534,22 +534,23 @@ impl WatchRun {
     }
 }
 
-/// Shift the rotated snapshot chain one slot up (`.i` → `.i+1`), pruning
-/// everything beyond `keep`, leaving slot `.1` free for the next rotation.
-fn shift_rotated(dir: &Path, keep: usize) {
-    let _ = std::fs::remove_file(dir.join(format!("{SNAPSHOT_FILE}.{keep}")));
-    for i in (1..keep).rev() {
-        let from = dir.join(format!("{SNAPSHOT_FILE}.{i}"));
-        if from.exists() {
-            let _ = std::fs::rename(&from, dir.join(format!("{SNAPSHOT_FILE}.{}", i + 1)));
-        }
-    }
+/// The rotation chain `<dir>/watch.snapshot.{from..=keep}`, preceded by
+/// the live file (`from == 0`: `watch.snapshot` itself) — the shape
+/// [`rotate_chain`] takes.
+fn chain_links(dir: &Path, from: usize, keep: usize) -> Vec<PathBuf> {
+    (from..=keep)
+        .map(|i| match i {
+            0 => dir.join(SNAPSHOT_FILE),
+            i => dir.join(format!("{SNAPSHOT_FILE}.{i}")),
+        })
+        .collect()
 }
 
 /// Write the full resumable context to `<dir>/watch.snapshot` atomically
 /// (temp file + rename — the promote step). With `rotate_keep` set
 /// (`--keep` without `--partition`), the previous checkpoint is first
-/// rotated into the `.1..K` chain instead of being overwritten.
+/// preserved in the `.1..K` chain instead of being overwritten; it stays
+/// live until the new one replaces it.
 fn save_checkpoint(
     dir: &Path,
     config: &SnapshotConfig,
@@ -562,11 +563,8 @@ fn save_checkpoint(
     std::fs::create_dir_all(dir)
         .map_err(|e| format!("cannot create state dir {}: {e}", dir.display()))?;
     if let Some(keep) = rotate_keep {
-        shift_rotated(dir, keep);
-        let current = dir.join(SNAPSHOT_FILE);
-        if current.exists() {
-            let _ = std::fs::rename(&current, dir.join(format!("{SNAPSHOT_FILE}.1")));
-        }
+        rotate_chain(&chain_links(dir, 0, keep))
+            .map_err(|e| format!("cannot rotate checkpoints in {}: {e}", dir.display()))?;
     }
     let watch = WatchCheckpoint {
         input: path.to_string(),
@@ -595,8 +593,9 @@ fn save_checkpoint(
     .map_err(|e| e.to_string())
 }
 
-/// Persist a just-completed partition as rotated snapshot `.1` (shifting
-/// the chain first). The file is an ordinary engine state with no watch
+/// Persist a just-completed partition as rotated snapshot `.1` (rotating
+/// the previous `.1` down the chain first; it stays in place until the new
+/// one replaces it). The file is an ordinary engine state with no watch
 /// progress — `pg-hive merge-state` can fold any subset of retained
 /// partitions back together offline.
 fn save_partition(
@@ -607,7 +606,8 @@ fn save_partition(
 ) -> Result<(), String> {
     std::fs::create_dir_all(dir)
         .map_err(|e| format!("cannot create state dir {}: {e}", dir.display()))?;
-    shift_rotated(dir, keep);
+    rotate_chain(&chain_links(dir, 1, keep))
+        .map_err(|e| format!("cannot rotate partitions in {}: {e}", dir.display()))?;
     context_snapshot(config, &run.state, &run.registry, None, &[])
         .write_atomic(&dir.join(format!("{SNAPSHOT_FILE}.1")))
         .map_err(|e| e.to_string())

@@ -279,22 +279,53 @@ fn discover_jsonl_input() {
 
 #[test]
 fn stats_stream_matches_resident() {
-    let dir = write_temp_dir(
+    let csv = write_temp_dir(
         "csv-stats",
         &[("nodes.csv", NODES_CSV), ("edges.csv", EDGES_CSV)],
     );
-    let (resident, _, code) = run(&["stats", dir.to_str().unwrap(), "--input-format", "csv"]);
-    assert_eq!(code, Some(0));
-    let (streamed, _, code) = run(&[
-        "stats",
-        dir.to_str().unwrap(),
-        "--input-format",
-        "csv",
-        "--stream",
-    ]);
-    assert_eq!(code, Some(0));
-    assert_eq!(resident, streamed, "streaming stats must agree");
-    assert!(streamed.contains("nodes:          4"), "{streamed}");
+    let pgt = write_temp_named("stats-demo", DEMO);
+    let jsonl = write_temp_named(
+        "stats-jsonl",
+        "\
+{\"type\":\"node\",\"id\":\"a\",\"labels\":[\"Person\"],\"props\":{\"name\":\"Ann\",\"age\":30}}
+{\"type\":\"node\",\"id\":\"b\",\"labels\":[\"Person\",\"Employee\"],\"props\":{\"name\":\"Bob\"}}
+{\"type\":\"node\",\"id\":\"o\",\"labels\":[\"Org\"],\"props\":{\"url\":\"x.com\"}}
+{\"type\":\"edge\",\"src\":\"a\",\"tgt\":\"o\",\"labels\":[\"WORKS_AT\"],\"props\":{\"from\":2001}}
+{\"type\":\"edge\",\"src\":\"b\",\"tgt\":\"o\",\"labels\":[\"WORKS_AT\"]}
+",
+    );
+    // Edges that reference nodes declared later, and one label set spelled
+    // in two orders.
+    let forward = write_temp_named(
+        "stats-forward",
+        "\
+E a o WORKS_AT from=2001
+N a Person;Employee name=Ann
+E b a KNOWS -
+N o Org url=x.com
+N b Employee;Person name=Bob
+E b o WORKS_AT -
+",
+    );
+    for (input, format) in [
+        (&csv, "csv"),
+        (&pgt, "pgt"),
+        (&jsonl, "jsonl"),
+        (&forward, "pgt"),
+    ] {
+        let input = input.to_str().unwrap();
+        let (resident, _, code) = run(&["stats", input, "--input-format", format]);
+        assert_eq!(code, Some(0), "{input}");
+        let (streamed, stderr, code) = run(&["stats", input, "--input-format", format, "--stream"]);
+        assert_eq!(code, Some(0), "{input}: {stderr}");
+        assert_eq!(resident, streamed, "{input}: streaming stats must agree");
+        assert!(!stderr.contains("warning"), "{input}: {stderr}");
+    }
+    let (streamed, _, _) = run(&["stats", forward.to_str().unwrap(), "--stream"]);
+    assert!(streamed.contains("nodes:          3"), "{streamed}");
+    assert!(streamed.contains("edges:          3"), "{streamed}");
+    assert!(streamed.contains("node label sets:2"), "{streamed}");
+    assert!(streamed.contains("edge patterns:  3"), "{streamed}");
 }
 
 #[test]
@@ -1195,6 +1226,49 @@ fn watch_keep_rotates_checkpoints_into_a_bounded_chain() {
         dir.join("watch.snapshot.1").to_str().unwrap(),
     ]);
     assert_eq!(code, Some(0), "{stderr}");
+}
+
+#[test]
+fn failed_watch_checkpoint_keeps_the_previous_one_live() {
+    let path = write_temp_named("watch-keep-fail", DEMO);
+    let dir = temp_dir_named("watch-keep-fail-state");
+    let watch = || {
+        run(&[
+            "watch",
+            path.to_str().unwrap(),
+            "--once",
+            "--interval",
+            "1",
+            "--state-dir",
+            dir.to_str().unwrap(),
+            "--keep",
+            "2",
+        ])
+    };
+    let (out1, err, code) = watch();
+    assert_eq!(code, Some(0), "{err}");
+    let live = dir.join("watch.snapshot");
+    let saved = std::fs::read(&live).unwrap();
+    // A directory squatting on the temp path makes the next checkpoint
+    // write fail after rotation has run.
+    let tmp = dir.join("watch.snapshot.tmp");
+    std::fs::create_dir(&tmp).unwrap();
+    let (_, err, code) = watch();
+    assert_eq!(code, Some(1), "{err}");
+    assert!(err.contains("error:"), "{err}");
+    assert_eq!(
+        std::fs::read(&live).unwrap(),
+        saved,
+        "previous checkpoint stays live"
+    );
+    std::fs::remove_dir(&tmp).unwrap();
+    // The next run resumes from it to the same schema, byte for byte.
+    let (out3, err, code) = watch();
+    assert_eq!(code, Some(0), "{err}");
+    assert!(err.contains("resumed from checkpoint"), "{err}");
+    let schema1 = &out1[out1.find("CREATE GRAPH TYPE").unwrap()..];
+    let schema3 = &out3[out3.find("CREATE GRAPH TYPE").unwrap()..];
+    assert_eq!(schema1, schema3);
 }
 
 #[test]

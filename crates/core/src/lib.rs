@@ -38,10 +38,9 @@
 //! the discovered schema is invariant to interning order and chunk arrival
 //! grouping. For datasets that do not fit in memory,
 //! [`Discoverer::discover_stream`] folds independent chunks with O(chunk)
-//! residency, and [`Discoverer::discover_stream_parallel`] overlaps chunk
-//! discovery across a worker pool, folding chunk states in completion order
-//! — the result is byte-identical to the serial path for every thread
-//! count. [`Discoverer::absorb_stream`] exposes the same engine over a
+//! residency, overlapping chunk discovery across a worker pool and folding
+//! chunk states in completion order — the result is byte-identical for
+//! every thread count. [`Discoverer::absorb_stream`] exposes the same engine over a
 //! caller-resident state, which is what `pg-hive watch` builds its drift
 //! monitoring on. `docs/ARCHITECTURE.md` at the repository root maps the
 //! whole system.
@@ -101,7 +100,8 @@ pub use schema::{
 pub use serve::{DriftHook, DriftNotice, RunningServer, ServeCore, ServeOptions};
 pub use sigcache::{CacheStats, CachedChunk, SignatureCache};
 pub use snapshot::{
-    FileCheckpoint, ResumeContext, Snapshot, SnapshotConfig, SnapshotError, WatchCheckpoint,
+    rotate_chain, FileCheckpoint, ResumeContext, Snapshot, SnapshotConfig, SnapshotError,
+    WatchCheckpoint,
 };
 pub use state::SchemaState;
 pub use validate::{

@@ -21,7 +21,6 @@ use crate::preprocess::{
 };
 use crate::schema::SchemaGraph;
 use crate::sigcache::{CachedChunk, SignatureCache};
-use crate::snapshot::SnapshotError;
 use crate::state::SchemaState;
 use pg_hive_embed::{HashEmbedder, LabelEmbedder, Word2Vec};
 use pg_hive_graph::stream::multi::SourceEntry;
@@ -320,83 +319,49 @@ impl Discoverer {
     }
 
     /// True streaming (§4.6's motivation: "process large datasets on
-    /// machines with limited memory"): every chunk is an *independent*
-    /// [`PropertyGraph`] — its own interners, its own ids — that can be
-    /// dropped as soon as it is processed. Each chunk runs the full
-    /// pipeline including post-processing (datatypes and cardinalities must
-    /// be computed while the chunk's values are still in memory), and its
-    /// schema merges into the running one; kinds join, counts add,
-    /// cardinality bounds take maxima — all monotone.
+    /// machines with limited memory") — the one-shot streaming entry point.
+    /// Every chunk is an *independent* [`PropertyGraph`] — its own
+    /// interners, its own ids — that can be dropped as soon as it is
+    /// processed. Each chunk runs the full pipeline including
+    /// post-processing (datatypes and cardinalities must be computed while
+    /// the chunk's values are still in memory), and its [`SchemaState`]
+    /// folds into the running one; kinds join, counts add, cardinality
+    /// bounds take maxima — all monotone.
+    ///
+    /// A worker pool of `threads` threads runs preprocess → LSH → extract →
+    /// post-process on chunks *concurrently* ([`Self::absorb_stream`]).
+    /// Because `SchemaState` absorption is associative **and
+    /// commutative**, completion order does not matter: the result is
+    /// byte-identical for every thread count (the proptests in
+    /// `tests/tests/stream_parallel.rs` gate exactly this). At most
+    /// `2 × threads` chunks are resident at once, plus whatever read-ahead
+    /// the producer feeding the iterator keeps in flight; pair it with
+    /// `pg_hive_graph::stream::ReadAheadChunks` and wall-clock tracks the
+    /// *slower* of I/O and compute instead of their sum. `threads == 1`
+    /// (or ≤ 1 chunk of work) runs serially on the calling thread.
     ///
     /// Because chunks are dropped, the result carries no member lists or
     /// element assignments (use [`Self::discover_batches`] when the full
-    /// graph stays resident).
-    ///
-    /// ```
-    /// use pg_hive_core::{Discoverer, PipelineConfig};
-    /// use pg_hive_graph::stream::pgt::PgtSource;
-    /// use pg_hive_graph::ChunkedTextReader;
-    ///
-    /// let text = "N a Person name=Ann\nN b Person name=Bob\nN c Org url=x.com\n\
-    ///             E a c WORKS_AT -\nE b c WORKS_AT -\n";
-    /// let mut reader = ChunkedTextReader::new(PgtSource::new(text.as_bytes()), 2);
-    /// let d = Discoverer::new(PipelineConfig::elsh_adaptive());
-    /// let result = d.discover_stream(std::iter::from_fn(|| reader.next_chunk().unwrap()));
-    /// assert_eq!(result.schema.node_types.len(), 2); // Person, Org
-    /// assert_eq!(result.schema.edge_types.len(), 1); // WORKS_AT
-    /// ```
-    pub fn discover_stream<I>(&self, chunks: I) -> StreamResult
-    where
-        I: IntoIterator<Item = PropertyGraph>,
-    {
-        let mut state = self.new_state();
-        let report = self.absorb_stream(chunks, &mut state, 1);
-        StreamResult {
-            schema: state.finalize(),
-            chunk_times: report.chunk_times,
-            elements: report.elements,
-        }
-    }
-
-    /// Pipeline-parallel [`Self::discover_stream`]: a worker pool of
-    /// `threads` threads runs preprocess → LSH → extract → post-process on
-    /// chunks *concurrently*, folding per-chunk [`SchemaState`]s into the
-    /// running state as they complete. Because `SchemaState` absorption is
-    /// associative **and commutative**, completion order does not matter —
-    /// the result is byte-identical to the serial path for every thread
-    /// count *without* the reorder buffer the pre-canonical engine needed
-    /// (the proptests in `tests/tests/stream_parallel.rs` gate exactly
-    /// this).
-    ///
-    /// Chunks are pulled from the iterator on the calling thread and handed
-    /// to workers through a bounded channel, so at most `2 × threads`
-    /// chunks are resident at once (plus whatever read-ahead the producer
-    /// feeding the iterator keeps in flight); the result channel is bounded
-    /// too, so in-flight state stays O(threads). Pair it with
-    /// `pg_hive_graph::stream::ReadAheadChunks` and wall-clock tracks the
-    /// *slower* of I/O and compute instead of their sum.
-    ///
-    /// `threads == 1` (or ≤ 1 chunk of work) degrades to the serial path.
-    /// `chunk_times[i]` is chunk `i`'s processing time on its worker;
-    /// cross-chunk merge time is excluded (it happens concurrently with
-    /// later chunks' processing).
+    /// graph stays resident). `chunk_times[i]` is chunk `i`'s processing
+    /// time on its worker; cross-chunk merge time is excluded.
     ///
     /// ```
     /// use pg_hive_core::{Discoverer, PipelineConfig};
     /// use pg_hive_graph::stream::pgt::PgtSource;
     /// use pg_hive_graph::ReadAheadChunks;
     ///
-    /// let text = "N a Person -\nN b Person -\nN c Org -\nE a c WORKS_AT -\n".to_string();
-    /// // Producer thread parses up to 2 chunks ahead...
+    /// let text = "N a Person name=Ann\nN b Person name=Bob\nN c Org url=x.com\n\
+    ///             E a c WORKS_AT -\nE b c WORKS_AT -\n".to_string();
+    /// // A producer thread parses up to 2 chunks of 2 elements ahead...
     /// let source = PgtSource::new(std::io::Cursor::new(text.into_bytes()));
     /// let mut ahead = ReadAheadChunks::spawn(source, 2, 2);
     /// // ...while 2 workers discover chunks concurrently.
     /// let d = Discoverer::new(PipelineConfig::elsh_adaptive());
-    /// let result =
-    ///     d.discover_stream_parallel(std::iter::from_fn(|| ahead.next_chunk().unwrap()), 2);
-    /// assert_eq!(result.schema.node_types.len(), 2); // identical to the serial path
+    /// let result = d.discover_stream(std::iter::from_fn(|| ahead.next_chunk().unwrap()), 2);
+    /// assert_eq!(result.schema.node_types.len(), 2); // Person, Org
+    /// assert_eq!(result.schema.edge_types.len(), 1); // WORKS_AT
     /// ```
-    pub fn discover_stream_parallel<I>(&self, chunks: I, threads: usize) -> StreamResult
+    pub fn discover_stream<I>(&self, chunks: I, threads: usize) -> StreamResult
     where
         I: IntoIterator<Item = PropertyGraph>,
     {
@@ -410,8 +375,8 @@ impl Discoverer {
     }
 
     /// Fold a stream of chunks into an **existing** [`SchemaState`] with
-    /// `threads` workers (1 = serial). This is the engine under both
-    /// `discover_stream*` entry points and the `pg-hive watch` drift
+    /// `threads` workers (1 = serial). This is the engine under
+    /// [`Self::discover_stream`] and the `pg-hive watch` drift
     /// monitor, which keeps one resident state across passes and absorbs
     /// only newly appended chunks — incremental, not re-discovery.
     pub fn absorb_stream<I>(
@@ -609,52 +574,6 @@ impl Discoverer {
     /// every streaming and watch path folds chunk states into.
     pub fn new_state(&self) -> SchemaState {
         SchemaState::new(self.config.theta)
-    }
-
-    /// Resume a streaming discovery from a previously persisted state (see
-    /// [`crate::snapshot`]): verify the loaded state is compatible with
-    /// this discoverer's configuration, absorb the remaining chunks into
-    /// it with `threads` workers, and finalize. Because snapshot
-    /// persistence is lossless and absorption is associative and
-    /// commutative, a run cut at any chunk boundary, saved, reloaded, and
-    /// resumed through this method finalizes **byte-identically** to the
-    /// uninterrupted run (`tests/tests/snapshot_resume.rs` proptests this
-    /// across formats and thread counts).
-    ///
-    /// The state is borrowed mutably, not consumed, so a caller that wants
-    /// to checkpoint again after the pass (e.g. `discover --save-state`)
-    /// still owns it; [`SchemaState::finalize`] is non-consuming.
-    ///
-    /// # Errors
-    /// [`SnapshotError::Incompatible`] when the loaded state's θ differs
-    /// from this discoverer's — absorbing under a different merge
-    /// threshold would produce a schema no single-config run could have
-    /// produced. (Method/seed/chunk-size guards live in
-    /// [`crate::snapshot::SnapshotConfig::ensure_matches`], which callers
-    /// holding a full [`crate::snapshot::ResumeContext`] should apply
-    /// first.)
-    pub fn resume_stream<I>(
-        &self,
-        state: &mut SchemaState,
-        chunks: I,
-        threads: usize,
-    ) -> Result<StreamResult, SnapshotError>
-    where
-        I: IntoIterator<Item = PropertyGraph>,
-    {
-        if state.theta().to_bits() != self.config.theta.to_bits() {
-            return Err(SnapshotError::Incompatible {
-                field: "theta",
-                saved: state.theta().to_string(),
-                requested: self.config.theta.to_string(),
-            });
-        }
-        let report = self.absorb_stream(chunks, state, threads);
-        Ok(StreamResult {
-            schema: state.finalize(),
-            chunk_times: report.chunk_times,
-            elements: report.elements,
-        })
     }
 
     /// Sharded discovery over a [`MultiSource`] — the merge-tree run.
@@ -1336,10 +1255,10 @@ mod tests {
         };
         let d = Discoverer::new(PipelineConfig::elsh_adaptive());
         for size in [3, 5, 100] {
-            let serial = d.discover_stream(chunks(size));
+            let serial = d.discover_stream(chunks(size), 1);
             let serial_text = crate::serialize::pg_schema_strict(&serial.schema, "G");
             for threads in [2, 3, 4] {
-                let par = d.discover_stream_parallel(chunks(size), threads);
+                let par = d.discover_stream(chunks(size), threads);
                 assert_eq!(par.elements, serial.elements, "size {size} x{threads}");
                 assert_eq!(par.chunk_times.len(), serial.chunk_times.len());
                 assert_eq!(
@@ -1354,14 +1273,14 @@ mod tests {
     #[test]
     fn parallel_stream_with_one_thread_or_no_chunks_degrades_gracefully() {
         let d = Discoverer::new(PipelineConfig::elsh_adaptive());
-        let one = d.discover_stream_parallel(vec![figure1()], 1);
+        let one = d.discover_stream(vec![figure1()], 1);
         assert_eq!(one.chunk_times.len(), 1);
         assert_eq!(one.elements, 14);
-        let none = d.discover_stream_parallel(Vec::new(), 4);
+        let none = d.discover_stream(Vec::new(), 4);
         assert_eq!(none.elements, 0);
         assert!(none.schema.node_types.is_empty());
         // More threads than chunks is fine — idle workers just exit.
-        let few = d.discover_stream_parallel(vec![figure1()], 8);
+        let few = d.discover_stream(vec![figure1()], 8);
         assert_eq!(few.elements, 14);
         assert_eq!(few.schema.node_types.len(), 4);
     }

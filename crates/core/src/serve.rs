@@ -84,8 +84,8 @@ use crate::schema::SchemaGraph;
 use crate::serialize::pg_schema_strict;
 use crate::sigcache::{SignatureCache, DEFAULT_CACHE_CAP};
 use crate::snapshot::{
-    context_snapshot_cached, sigcache_from_snapshot, ResumeContext, Snapshot, SnapshotConfig,
-    WatchCheckpoint,
+    context_snapshot_cached, rotate_chain, sigcache_from_snapshot, ResumeContext, Snapshot,
+    SnapshotConfig, WatchCheckpoint,
 };
 
 /// Default number of worker threads handling connections.
@@ -819,10 +819,23 @@ impl ServeCore {
             Some(&t.cache),
         );
         let path = dir.join(format!("{tenant}.snapshot"));
-        let rotated = if let Some(keep) = self.opts.keep {
-            rotate_chain(&dir, tenant, keep)
-        } else {
-            0
+        // Chains are keyed by the full tenant name, so two tenants' chains
+        // can never cross-contaminate.
+        let links: Vec<PathBuf> = (0..=self.opts.keep.unwrap_or(0))
+            .map(|i| match i {
+                0 => path.clone(),
+                i => dir.join(format!("{tenant}.snapshot.{i}")),
+            })
+            .collect();
+        let rotated = match rotate_chain(&links) {
+            Ok(n) => n,
+            Err(e) => {
+                return Response::error(
+                    500,
+                    "checkpoint-failed",
+                    &format!("cannot rotate {}: {e}", path.display()),
+                )
+            }
         };
         match snap.write_atomic(&path) {
             Ok(()) => Response::json(
@@ -853,29 +866,6 @@ fn method_not_allowed(allow: &str) -> Response {
         "method-not-allowed",
         &format!("this route accepts {allow} only"),
     )
-}
-
-/// Shift `<tenant>.snapshot` into a `.1..keep` rotation chain, dropping
-/// the oldest link. Returns how many links were shifted. Chains are keyed
-/// by the full tenant name, so two tenants' chains can never
-/// cross-contaminate.
-fn rotate_chain(dir: &Path, tenant: &str, keep: usize) -> usize {
-    if keep == 0 {
-        return 0;
-    }
-    let link = |i: usize| dir.join(format!("{tenant}.snapshot.{i}"));
-    let _ = fs::remove_file(link(keep));
-    let mut shifted = 0;
-    for i in (1..keep).rev() {
-        if link(i).exists() && fs::rename(link(i), link(i + 1)).is_ok() {
-            shifted += 1;
-        }
-    }
-    let current = dir.join(format!("{tenant}.snapshot"));
-    if current.exists() && fs::rename(&current, link(1)).is_ok() {
-        shifted += 1;
-    }
-    shifted
 }
 
 /// Scan `dir` for `<tenant>.snapshot` files and rebuild each tenant's
@@ -1609,6 +1599,43 @@ E 1 3 MEMBER_OF from=1835\n";
             assert!(strict.contains("Person"), "{link}: {strict}");
             assert!(!strict.contains("RoyalSociety"), "{link}: {strict}");
         }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_rotating_checkpoint_keeps_the_previous_one_live() {
+        let dir = temp_dir("rotate-fail");
+        let opts = ServeOptions {
+            state_dir: Some(dir.clone()),
+            keep: Some(2),
+            ..ServeOptions::default()
+        };
+        let checkpoint = |core: &ServeCore| {
+            let (resp, _) = core.dispatch(&Request::new("POST", "/v1/t/checkpoint", Vec::new()));
+            resp.status
+        };
+        let core = test_core(opts.clone());
+        ingest(&core, "t", BATCH_A);
+        assert_eq!(checkpoint(&core), 200);
+        let live = dir.join("t.snapshot");
+        let saved = fs::read(&live).unwrap();
+        let before = schema_bytes(&core, "t");
+        // A directory squatting on the temp path makes the next write fail
+        // after rotation has run.
+        ingest(&core, "t", BATCH_B);
+        fs::create_dir(dir.join("t.snapshot.tmp")).unwrap();
+        assert_eq!(checkpoint(&core), 500);
+        drop(core);
+
+        assert_eq!(
+            fs::read(&live).unwrap(),
+            saved,
+            "previous checkpoint stays live"
+        );
+        fs::remove_dir(dir.join("t.snapshot.tmp")).unwrap();
+        let core = test_core(opts);
+        assert_eq!(core.tenant_names(), vec!["t".to_string()]);
+        assert_eq!(schema_bytes(&core, "t"), before);
         fs::remove_dir_all(&dir).unwrap();
     }
 

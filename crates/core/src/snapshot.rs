@@ -61,7 +61,7 @@ use pg_hive_graph::{LabelSetRegistry, Record, StreamWarnings, Value, ValueKind};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::Write;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// First line token identifying a pg-hive snapshot file.
 pub const MAGIC: &str = "pg-hive-snapshot";
@@ -311,8 +311,9 @@ impl Snapshot {
     }
 
     /// Write the snapshot **atomically**: render to a sibling `.tmp` file,
-    /// sync it, then rename over `path`. A reader never observes a
-    /// half-written snapshot; a crash leaves the previous one intact.
+    /// sync it, rename over `path`, then sync the directory so the rename
+    /// itself is durable. A reader never observes a half-written snapshot;
+    /// a crash leaves the previous one intact.
     pub fn write_atomic(&self, path: &Path) -> Result<(), SnapshotError> {
         let io_err = |detail: std::io::Error| SnapshotError::Io {
             path: path.display().to_string(),
@@ -331,7 +332,14 @@ impl Snapshot {
         f.write_all(self.to_text().as_bytes()).map_err(io_err)?;
         f.sync_all().map_err(io_err)?;
         drop(f);
-        std::fs::rename(&tmp, path).map_err(io_err)
+        std::fs::rename(&tmp, path).map_err(io_err)?;
+        let dir = match path.parent() {
+            Some(d) if !d.as_os_str().is_empty() => d,
+            _ => Path::new("."),
+        };
+        std::fs::File::open(dir)
+            .and_then(|d| d.sync_all())
+            .map_err(io_err)
     }
 
     /// Read and [`Self::parse`] a snapshot file.
@@ -366,6 +374,41 @@ impl Snapshot {
         }
         Ok((merged, collisions))
     }
+}
+
+/// Rotate a checkpoint chain ahead of a new write to `links[0]`, the live
+/// file; `links[1..]` are its rotated copies, newest first. The oldest copy
+/// is dropped, every other copy moves one slot down, and the live file is
+/// preserved as `links[1]` by a hard link (a copy where the filesystem
+/// cannot link). The live file itself stays in place until the
+/// [`Snapshot::write_atomic`] rename replaces it, so a failure at any step
+/// still leaves the previous checkpoint live. Returns how many files moved
+/// into a rotated slot.
+///
+/// # Errors
+/// The first failed remove, rename, link or copy.
+pub fn rotate_chain(links: &[PathBuf]) -> std::io::Result<usize> {
+    if links.len() < 2 {
+        return Ok(0);
+    }
+    match std::fs::remove_file(&links[links.len() - 1]) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e),
+        _ => {}
+    }
+    let mut shifted = 0;
+    for i in (1..links.len() - 1).rev() {
+        if links[i].exists() {
+            std::fs::rename(&links[i], &links[i + 1])?;
+            shifted += 1;
+        }
+    }
+    if links[0].exists() {
+        if std::fs::hard_link(&links[0], &links[1]).is_err() {
+            std::fs::copy(&links[0], &links[1])?;
+        }
+        shifted += 1;
+    }
+    Ok(shifted)
 }
 
 fn split_line(text: &str) -> Option<(&str, &str)> {

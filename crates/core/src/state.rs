@@ -45,7 +45,7 @@ use crate::postprocess::{
 };
 use crate::schema::{EdgeType, LabelSet, NodeType, SchemaGraph};
 use pg_hive_graph::PropertyGraph;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// A property-key set — the pool key for unresolved abstract patterns.
 type KeySet = BTreeSet<String>;
@@ -311,20 +311,18 @@ impl SchemaState {
         let fresh = match self.finalize_cache.take() {
             Some(cached) if clean => cached,
             Some(mut cached) if patchable => {
-                for labels in &self.dirty_nodes {
-                    let t = self.labeled_nodes[labels].clone();
-                    match cached.node_type_by_labels(labels) {
-                        Some(i) => cached.node_types[i] = t,
-                        None => cached.node_types.push(t),
-                    }
-                }
-                for labels in &self.dirty_edges {
-                    let t = self.labeled_edges[labels].clone();
-                    match cached.edge_type_by_labels(labels) {
-                        Some(i) => cached.edge_types[i] = t,
-                        None => cached.edge_types.push(t),
-                    }
-                }
+                patch_types(
+                    &mut cached.node_types,
+                    &self.dirty_nodes,
+                    &self.labeled_nodes,
+                    |t| &t.labels,
+                );
+                patch_types(
+                    &mut cached.edge_types,
+                    &self.dirty_edges,
+                    &self.labeled_edges,
+                    |t| &t.labels,
+                );
                 cached.sort_canonical();
                 cached
             }
@@ -335,6 +333,31 @@ impl SchemaState {
         self.dirty_all = false;
         self.finalize_cache = Some(fresh.clone());
         fresh
+    }
+}
+
+/// Replace (or append) the entry of every dirty label set in `types` with
+/// its pool's current type. One label-set index over `types` per call keeps
+/// the patch O(types + dirty) instead of a scan per dirty pool.
+fn patch_types<T: Clone>(
+    types: &mut Vec<T>,
+    dirty: &BTreeSet<LabelSet>,
+    pools: &BTreeMap<LabelSet, T>,
+    labels: impl Fn(&T) -> &LabelSet,
+) {
+    let slots: Vec<Option<usize>> = {
+        let mut index: HashMap<&LabelSet, usize> = HashMap::with_capacity(types.len());
+        for (i, t) in types.iter().enumerate() {
+            index.entry(labels(t)).or_insert(i);
+        }
+        dirty.iter().map(|l| index.get(l).copied()).collect()
+    };
+    for (l, slot) in dirty.iter().zip(slots) {
+        let t = pools[l].clone();
+        match slot {
+            Some(i) => types[i] = t,
+            None => types.push(t),
+        }
     }
 }
 

@@ -21,13 +21,13 @@
 //!   durable `pg-hive watch` checkpoints (see `docs/PERSISTENCE.md`),
 //!   plus [`Interner`] persistence on the canonical-id view for consumers
 //!   that checkpoint interner-keyed state.
-//! - [`stream`]: streaming ingestion — a [`stream::GraphSource`] trait over
-//!   `.pgt` / CSV / JSON-Lines exports and a [`stream::ChunkedTextReader`]
-//!   that yields independent graph chunks with O(chunk) resident memory,
-//!   feeding `Discoverer::discover_stream` (§4.6); plus
-//!   [`stream::ReadAheadChunks`] / [`stream::ReadAheadRecords`], the
-//!   bounded-channel producer stages that overlap parsing with downstream
-//!   discovery (`Discoverer::discover_stream_parallel`) or stats folding.
+//! - [`stream`]: streaming ingestion — one zero-copy
+//!   [`stream::RawGraphSource`] trait over `.pgt` / CSV / JSON-Lines
+//!   exports and a [`stream::ChunkedTextReader`] that yields independent
+//!   graph chunks with O(chunk) resident memory, feeding
+//!   `Discoverer::discover_stream` (§4.6); plus [`stream::ReadAheadChunks`],
+//!   the bounded-channel producer stage that overlaps parsing with
+//!   discovery.
 //!
 //! See `docs/ARCHITECTURE.md` at the repository root for the crate map and
 //! the streaming chunk lifecycle.
@@ -55,7 +55,7 @@ pub use interner::{Interner, Symbol};
 pub use stats::GraphStats;
 pub use stream::multi::{MultiSource, SourceEntry, SourceKind};
 pub use stream::{
-    ChunkedTextReader, GraphSource, LabelSetRegistry, OwnedSource, RawGraphSource, ReadAheadChunks,
-    ReadAheadRecords, Record, RecordBuf, RecordRef, StreamError, StreamSummary, StreamWarnings,
+    ChunkedTextReader, LabelSetRegistry, RawGraphSource, ReadAheadChunks, Record, RecordBuf,
+    RecordRef, StreamError, StreamSummary, StreamWarnings,
 };
 pub use value::{Value, ValueKind};

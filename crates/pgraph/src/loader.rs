@@ -20,7 +20,8 @@
 use crate::builder::GraphBuilder;
 use crate::element::NodeId;
 use crate::graph::PropertyGraph;
-use crate::stream::Record;
+use crate::stream::raw::RecordKind;
+use crate::stream::RecordBuf;
 use crate::value::Value;
 use std::collections::HashMap;
 use std::fmt;
@@ -87,65 +88,12 @@ impl fmt::Display for LoadError {
 
 impl std::error::Error for LoadError {}
 
-/// Parse one line of the text format into a [`Record`]. Returns `Ok(None)`
-/// for blank lines and `#` comments. Shared by [`load_text`] and the
-/// streaming [`crate::stream::pgt::PgtSource`].
-pub fn parse_line(line: usize, raw: &str) -> Result<Option<Record>, LoadError> {
-    let trimmed = raw.trim();
-    if trimmed.is_empty() || trimmed.starts_with('#') {
-        return Ok(None);
-    }
-    // Consume the whitespace-separated fields positionally instead of
-    // collecting them into a `Vec<&str>` — this runs once per line of every
-    // `.pgt` input, and the vector was the only allocation for records
-    // without labels or properties.
-    let mut fields = trimmed.split_whitespace();
-    let kind = fields.next().expect("non-blank trimmed line has a field");
-    match kind {
-        "N" => {
-            let (Some(id), Some(labels), Some(props), None) =
-                (fields.next(), fields.next(), fields.next(), fields.next())
-            else {
-                return Err(LoadError::Malformed { line, expected: 4 });
-            };
-            Ok(Some(Record::Node {
-                id: id.to_string(),
-                labels: parse_labels(labels),
-                props: parse_props(props, line)?,
-            }))
-        }
-        "E" => {
-            let (Some(src), Some(tgt), Some(labels), Some(props), None) = (
-                fields.next(),
-                fields.next(),
-                fields.next(),
-                fields.next(),
-                fields.next(),
-            ) else {
-                return Err(LoadError::Malformed { line, expected: 5 });
-            };
-            Ok(Some(Record::Edge {
-                src: src.to_string(),
-                tgt: tgt.to_string(),
-                labels: parse_labels(labels),
-                props: parse_props(props, line)?,
-            }))
-        }
-        _ => Err(LoadError::UnknownRecord { line }),
-    }
-}
-
 /// Parse the `.pgt` line held in `buf.text` **in place**, recording field
 /// spans instead of allocating owned strings. Returns `Ok(false)` for blank
-/// lines and `#` comments. This is the zero-copy twin of [`parse_line`],
-/// used by the streaming [`crate::stream::pgt::PgtSource`]; the two are
-/// pinned equivalent by the raw-vs-owned property tests.
-pub(crate) fn parse_line_into(
-    line: usize,
-    buf: &mut crate::stream::RecordBuf,
-) -> Result<bool, LoadError> {
-    use crate::stream::raw::RecordKind;
-
+/// lines and `#` comments. The one `.pgt` parser: the streaming
+/// [`crate::stream::pgt::PgtSource`] and the resident [`load_text`] both
+/// go through it.
+pub(crate) fn parse_line_into(line: usize, buf: &mut RecordBuf) -> Result<bool, LoadError> {
     let trimmed = buf.text.trim();
     if trimmed.is_empty() || trimmed.starts_with('#') {
         return Ok(false);
@@ -191,7 +139,7 @@ pub(crate) fn parse_line_into(
     }
 }
 
-fn parse_labels_into(buf: &mut crate::stream::RecordBuf, span: (u32, u32)) {
+fn parse_labels_into(buf: &mut RecordBuf, span: (u32, u32)) {
     if buf.str(span) == "-" {
         return;
     }
@@ -207,11 +155,7 @@ fn parse_labels_into(buf: &mut crate::stream::RecordBuf, span: (u32, u32)) {
     }
 }
 
-fn parse_props_into(
-    buf: &mut crate::stream::RecordBuf,
-    span: (u32, u32),
-    line: usize,
-) -> Result<(), LoadError> {
+fn parse_props_into(buf: &mut RecordBuf, span: (u32, u32), line: usize) -> Result<(), LoadError> {
     if buf.str(span) == "-" {
         return Ok(());
     }
@@ -243,63 +187,55 @@ fn parse_props_into(
 /// order. [`LoadError::UnknownNode`] is reserved for ids never declared by
 /// any `N` line.
 pub fn load_text(input: &str) -> Result<PropertyGraph, LoadError> {
-    struct DeferredEdge {
-        line: usize,
-        src: String,
-        tgt: String,
-        labels: Vec<String>,
-        props: Vec<(String, Value)>,
-    }
     let mut b = GraphBuilder::new();
+    let mut buf = RecordBuf::new();
     let mut ids: HashMap<String, NodeId> = HashMap::new();
-    let mut edges: Vec<DeferredEdge> = Vec::new();
+    // `E` lines are parsed (and checked) in line order, then parsed again
+    // once every node is known; only their line number and text are kept.
+    let mut edge_lines: Vec<(usize, &str)> = Vec::new();
 
     for (lineno, raw) in input.lines().enumerate() {
         let line = lineno + 1;
-        match parse_line(line, raw)? {
-            None => {}
-            Some(Record::Node { id, labels, props }) => {
-                if ids.contains_key(&id) {
-                    return Err(LoadError::DuplicateNode { line, id });
+        if !parse_str_into(line, raw, &mut buf)? {
+            continue;
+        }
+        match buf.kind {
+            RecordKind::Node => {
+                let id = buf.str(buf.id);
+                if ids.contains_key(id) {
+                    return Err(LoadError::DuplicateNode {
+                        line,
+                        id: id.to_string(),
+                    });
                 }
-                let prop_refs: Vec<(&str, Value)> =
-                    props.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
-                let label_refs: Vec<&str> = labels.iter().map(String::as_str).collect();
-                let nid = b.add_node(&label_refs, &prop_refs);
+                let id = id.to_string();
+                let nid = b.add_node_from_buf(&mut buf);
                 ids.insert(id, nid);
             }
-            Some(Record::Edge {
-                src,
-                tgt,
-                labels,
-                props,
-            }) => edges.push(DeferredEdge {
-                line,
-                src,
-                tgt,
-                labels,
-                props,
-            }),
+            RecordKind::Edge => edge_lines.push((line, raw)),
         }
     }
 
-    for e in edges {
-        let line = e.line;
-        let src = *ids
-            .get(&e.src)
-            .ok_or(LoadError::UnknownNode { line, id: e.src })?;
-        let tgt = *ids
-            .get(&e.tgt)
-            .ok_or(LoadError::UnknownNode { line, id: e.tgt })?;
-        let prop_refs: Vec<(&str, Value)> = e
-            .props
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.clone()))
-            .collect();
-        let label_refs: Vec<&str> = e.labels.iter().map(String::as_str).collect();
-        b.add_edge(src, tgt, &label_refs, &prop_refs);
+    for (line, raw) in edge_lines {
+        parse_str_into(line, raw, &mut buf)?;
+        let endpoint = |span| {
+            let id = buf.str(span);
+            ids.get(id).copied().ok_or_else(|| LoadError::UnknownNode {
+                line,
+                id: id.to_string(),
+            })
+        };
+        let (src, tgt) = (endpoint(buf.id)?, endpoint(buf.tgt)?);
+        b.add_edge_from_buf(src, tgt, &mut buf);
     }
     Ok(b.finish())
+}
+
+/// [`parse_line_into`] over a borrowed line.
+fn parse_str_into(line: usize, raw: &str, buf: &mut RecordBuf) -> Result<bool, LoadError> {
+    buf.clear();
+    buf.text.push_str(raw);
+    parse_line_into(line, buf)
 }
 
 /// Serialize a graph back to the text format, the inverse of [`load_text`]:
@@ -402,34 +338,6 @@ fn hex_val(b: u8) -> Option<u8> {
     }
 }
 
-fn parse_labels(field: &str) -> Vec<String> {
-    if field == "-" {
-        return vec![];
-    }
-    field
-        .split(';')
-        .filter(|s| !s.is_empty())
-        .map(str::to_string)
-        .collect()
-}
-
-fn parse_props(field: &str, line: usize) -> Result<Vec<(String, Value)>, LoadError> {
-    if field == "-" {
-        return Ok(vec![]);
-    }
-    let mut out = Vec::new();
-    for token in field.split(',').filter(|s| !s.is_empty()) {
-        let Some((k, v)) = token.split_once('=') else {
-            return Err(LoadError::BadProperty {
-                line,
-                token: token.to_string(),
-            });
-        };
-        out.push((k.to_string(), Value::parse_lexical(&percent_decode(v))));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -499,7 +407,7 @@ mod tests {
 
     #[test]
     fn malformed_arity_reports_expected_field_counts() {
-        // Regression for the allocation-free `parse_line` rewrite: too few
+        // Regression for the allocation-free parser rewrite: too few
         // AND too many fields must still report the record type's arity —
         // 4 for `N`, 5 for `E` — exactly as the Vec-collecting parser did.
         for (input, want) in [

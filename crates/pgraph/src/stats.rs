@@ -5,9 +5,9 @@
 //! the (source-label-set, target-label-set) endpoint pair.
 
 use crate::graph::PropertyGraph;
-use crate::interner::Symbol;
-use crate::stream::{GraphSource, LabelSetRegistry, Record, StreamError};
-use std::collections::HashSet;
+use crate::interner::{Interner, Symbol};
+use crate::stream::{RawGraphSource, RecordBuf, RecordRef, StreamError};
+use std::collections::{HashMap, HashSet};
 
 /// Structural statistics of a property graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,106 +83,133 @@ impl GraphStats {
     }
 }
 
+/// Dense ids for *sets* of strings (label sets, key sets): every string is
+/// interned once, and every distinct set of symbols gets the next id, so a
+/// pattern is a tuple of `u32`s instead of nested owned strings.
+#[derive(Default)]
+struct SetIds {
+    strings: Interner,
+    ids: HashMap<Box<[u32]>, u32>,
+    scratch: Vec<u32>,
+}
+
+impl SetIds {
+    /// Id of the set of `items` (order and repeats are irrelevant).
+    fn id<'a>(&mut self, items: impl Iterator<Item = &'a str>) -> u32 {
+        self.scratch.clear();
+        for item in items {
+            let sym = self.strings.intern(item);
+            self.scratch.push(sym.0);
+        }
+        self.scratch.sort_unstable();
+        self.scratch.dedup();
+        if let Some(&id) = self.ids.get(&self.scratch[..]) {
+            return id;
+        }
+        let id = self.ids.len() as u32;
+        self.ids.insert(self.scratch.clone().into_boxed_slice(), id);
+        id
+    }
+}
+
+/// Label-set slot of a node id no `N` record has declared (yet).
+const UNDECLARED: u32 = u32::MAX;
+
+/// Intern a node id, giving a first-seen id the [`UNDECLARED`] slot.
+fn intern_id(ids: &mut Interner, id_sets: &mut Vec<u32>, id: &str) -> Symbol {
+    let sym = ids.intern(id);
+    if sym.index() == id_sets.len() {
+        id_sets.push(UNDECLARED);
+    }
+    sym
+}
+
 /// Compute [`GraphStats`] straight from a record stream with O(distinct
 /// patterns + node ids) memory — no resident graph, no per-chunk stub
-/// nodes. Element and pattern counts match [`GraphStats::compute`] on the
+/// nodes. Records are folded as borrowed [`RecordRef`] views with interned
+/// labels and keys, so the steady state allocates nothing per record.
+/// Element and pattern counts match [`GraphStats::compute`] on the
 /// fully-loaded graph.
 ///
-/// Edge patterns need endpoint label sets; a compact id → label-set
-/// registry provides them. Edges referencing a node id that only appears
-/// *later* in the stream are buffered (bounded at ~1M) and resolved at end
-/// of stream. The second return value counts edges whose endpoints were
-/// never declared — their patterns fall back to unlabeled endpoints.
-pub fn stream_stats<S: GraphSource>(mut source: S) -> Result<(GraphStats, u64), StreamError> {
+/// Edge patterns need endpoint label sets; a node-id → label-set table
+/// provides them (a re-declared id takes its latest label set). Edges
+/// referencing a node id that only appears *later* in the stream are
+/// buffered (bounded at ~1M) and resolved at end of stream. The second
+/// return value counts edges whose endpoints were never declared — their
+/// patterns fall back to unlabeled endpoints.
+pub fn stream_stats<S: RawGraphSource>(mut source: S) -> Result<(GraphStats, u64), StreamError> {
     const PENDING_CAP: usize = 1 << 20;
-    let mut nodes = 0usize;
-    let mut edges = 0usize;
-    let mut node_labels: HashSet<String> = HashSet::new();
-    let mut edge_labels: HashSet<String> = HashSet::new();
-    let mut node_label_sets: HashSet<Vec<String>> = HashSet::new();
-    let mut edge_label_sets: HashSet<Vec<String>> = HashSet::new();
-    let mut node_patterns: HashSet<(Vec<String>, Vec<String>)> = HashSet::new();
-    #[allow(clippy::type_complexity)]
-    let mut edge_patterns: HashSet<(Vec<String>, Vec<String>, u32, u32)> = HashSet::new();
-
-    let mut registry = LabelSetRegistry::default();
-    #[allow(clippy::type_complexity)]
-    let mut pending: Vec<(Vec<String>, Vec<String>, String, String)> = Vec::new();
+    let (mut nodes, mut edges) = (0usize, 0usize);
+    let mut node_sets = SetIds::default();
+    let mut edge_sets = SetIds::default();
+    let mut key_sets = SetIds::default();
+    let mut node_patterns: HashSet<(u32, u32)> = HashSet::new();
+    let mut edge_patterns: HashSet<(u32, u32, u32, u32)> = HashSet::new();
+    // Node id symbol → node label-set id of its latest declaration.
+    let mut ids = Interner::new();
+    let mut id_sets: Vec<u32> = Vec::new();
+    let mut pending: Vec<(u32, u32, Symbol, Symbol)> = Vec::new();
     let mut fallback = 0u64;
+    // Endpoints never declared count as unlabeled.
+    let empty = node_sets.id(std::iter::empty());
+    let or_empty = |ls: u32| if ls == UNDECLARED { empty } else { ls };
+    let mut buf = RecordBuf::new();
 
-    while let Some(rec) = source.next_record()? {
-        match rec {
-            Record::Node { id, labels, props } => {
+    while source.read_record(&mut buf)? {
+        match buf.view() {
+            RecordRef::Node { id, labels, props } => {
                 nodes += 1;
-                let mut ls = labels;
-                ls.sort_unstable();
-                ls.dedup();
-                let mut keys: Vec<String> = props.into_iter().map(|(k, _)| k).collect();
-                keys.sort_unstable();
-                keys.dedup();
-                for l in &ls {
-                    node_labels.insert(l.clone());
-                }
-                registry.insert(&id, &ls);
-                node_label_sets.insert(ls.clone());
-                node_patterns.insert((ls, keys));
+                let ls = node_sets.id(labels.iter());
+                node_patterns.insert((ls, key_sets.id(props.iter().map(|(k, _)| k))));
+                let sym = intern_id(&mut ids, &mut id_sets, id);
+                id_sets[sym.index()] = ls;
             }
-            Record::Edge {
+            RecordRef::Edge {
                 src,
                 tgt,
                 labels,
                 props,
             } => {
                 edges += 1;
-                let mut ls = labels;
-                ls.sort_unstable();
-                ls.dedup();
-                let mut keys: Vec<String> = props.into_iter().map(|(k, _)| k).collect();
-                keys.sort_unstable();
-                keys.dedup();
-                for l in &ls {
-                    edge_labels.insert(l.clone());
-                }
-                edge_label_sets.insert(ls.clone());
-                match (registry.get(&src), registry.get(&tgt)) {
-                    (Some(s), Some(t)) => {
-                        edge_patterns.insert((ls, keys, s, t));
+                let ls = edge_sets.id(labels.iter());
+                let ks = key_sets.id(props.iter().map(|(k, _)| k));
+                let s = intern_id(&mut ids, &mut id_sets, src);
+                let t = intern_id(&mut ids, &mut id_sets, tgt);
+                match (id_sets[s.index()], id_sets[t.index()]) {
+                    (s, t) if s != UNDECLARED && t != UNDECLARED => {
+                        edge_patterns.insert((ls, ks, s, t));
                     }
-                    _ if pending.len() < PENDING_CAP => pending.push((ls, keys, src, tgt)),
-                    _ => {
+                    _ if pending.len() < PENDING_CAP => pending.push((ls, ks, s, t)),
+                    (s, t) => {
                         // Buffer overflowed: resolve now with what we have.
                         fallback += 1;
-                        let empty = registry.intern(&[]);
-                        let s = registry.get(&src).unwrap_or(empty);
-                        let t = registry.get(&tgt).unwrap_or(empty);
-                        edge_patterns.insert((ls, keys, s, t));
+                        edge_patterns.insert((ls, ks, or_empty(s), or_empty(t)));
                     }
                 }
             }
         }
     }
-    for (ls, keys, src, tgt) in pending {
-        let empty = registry.intern(&[]);
-        let (s, t) = match (registry.get(&src), registry.get(&tgt)) {
-            (Some(s), Some(t)) => (s, t),
-            (s, t) => {
-                fallback += 1;
-                (s.unwrap_or(empty), t.unwrap_or(empty))
-            }
-        };
-        edge_patterns.insert((ls, keys, s, t));
+    for (ls, ks, s, t) in pending {
+        let (s, t) = (id_sets[s.index()], id_sets[t.index()]);
+        if s == UNDECLARED || t == UNDECLARED {
+            fallback += 1;
+        }
+        edge_patterns.insert((ls, ks, or_empty(s), or_empty(t)));
     }
 
+    // Count node label sets from the patterns: `empty` is interned whether
+    // or not any node carries it.
+    let node_label_sets: HashSet<u32> = node_patterns.iter().map(|&(ls, _)| ls).collect();
     Ok((
         GraphStats {
             nodes,
             edges,
-            node_labels: node_labels.len(),
-            edge_labels: edge_labels.len(),
+            node_labels: node_sets.strings.len(),
+            edge_labels: edge_sets.strings.len(),
             node_patterns: node_patterns.len(),
             edge_patterns: edge_patterns.len(),
             node_label_sets: node_label_sets.len(),
-            edge_label_sets: edge_label_sets.len(),
+            edge_label_sets: edge_sets.ids.len(),
         },
         fallback,
     ))

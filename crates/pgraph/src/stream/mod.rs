@@ -3,13 +3,14 @@
 //! The paper motivates incremental discovery with "process large datasets on
 //! machines with limited memory". This module supplies the I/O side of that
 //! scenario: instead of slurping a whole export into one [`PropertyGraph`],
-//! a [`ChunkedTextReader`] wraps any [`GraphSource`] — a format-specific
-//! record parser over a [`std::io::BufRead`] — and yields *independent*
-//! graph chunks of roughly `chunk_size` elements. Each chunk has its own
-//! interners and ids and can be dropped as soon as the discovery pipeline
-//! has consumed it, so resident memory is O(chunk), not O(dataset).
+//! a [`ChunkedTextReader`] wraps any [`RawGraphSource`] — a format-specific
+//! zero-copy record parser over a [`std::io::BufRead`] — and yields
+//! *independent* graph chunks of roughly `chunk_size` elements. Each chunk
+//! has its own interners and ids and can be dropped as soon as the
+//! discovery pipeline has consumed it, so resident memory is O(chunk), not
+//! O(dataset).
 //!
-//! Three wire formats implement [`GraphSource`]:
+//! Three wire formats implement [`RawGraphSource`]:
 //!
 //! - [`pgt::PgtSource`] — the line-oriented `.pgt` text format of
 //!   [`crate::loader`];
@@ -47,8 +48,8 @@ pub mod pgt;
 pub mod raw;
 pub mod read_ahead;
 
-pub use raw::{OwnedSource, RawGraphSource, RecordBuf, RecordRef};
-pub use read_ahead::{ReadAheadChunks, ReadAheadRecords, StreamSummary};
+pub use raw::{RawGraphSource, RecordBuf, RecordRef};
+pub use read_ahead::{ReadAheadChunks, StreamSummary};
 
 use crate::builder::GraphBuilder;
 use crate::element::NodeId;
@@ -59,7 +60,9 @@ use raw::RecordKind;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
-/// One parsed ingestion record, independent of the wire format.
+/// One ingestion record, independent of the wire format, owning its
+/// fields: the form of edges carried out of a stream whose endpoints it
+/// never declared ([`ChunkedTextReader::take_pending`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Record {
     /// A node declaration with a dataset-scoped id.
@@ -116,37 +119,6 @@ impl From<std::io::Error> for StreamError {
     }
 }
 
-/// A format-specific record parser: the one trait the CLI, benches and the
-/// chunker program against, so they stay format-agnostic.
-///
-/// ```
-/// use pg_hive_graph::stream::{pgt::PgtSource, GraphSource, Record};
-///
-/// let mut src = PgtSource::new("N a Person name=Ann\nE a a SELF -\n".as_bytes());
-/// let first = src.next_record().unwrap().unwrap();
-/// assert!(matches!(first, Record::Node { ref id, .. } if id == "a"));
-/// let second = src.next_record().unwrap().unwrap();
-/// assert!(matches!(second, Record::Edge { .. }));
-/// assert!(src.next_record().unwrap().is_none()); // end of stream
-/// assert_eq!(src.format_name(), "pgt");
-/// ```
-pub trait GraphSource {
-    /// Next record, `Ok(None)` at end of stream.
-    fn next_record(&mut self) -> Result<Option<Record>, StreamError>;
-
-    /// Short format name for diagnostics (`"pgt"`, `"csv"`, `"jsonl"`).
-    fn format_name(&self) -> &'static str;
-}
-
-impl<S: GraphSource + ?Sized> GraphSource for Box<S> {
-    fn next_record(&mut self) -> Result<Option<Record>, StreamError> {
-        (**self).next_record()
-    }
-    fn format_name(&self) -> &'static str {
-        (**self).format_name()
-    }
-}
-
 /// Counted non-fatal conditions observed while chunking a stream.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamWarnings {
@@ -192,10 +164,9 @@ struct PendingEdge {
 }
 
 /// Compact id → label-set registry: interns every distinct label set once
-/// and maps each node id ever seen to its set. Shared by
-/// [`ChunkedTextReader`] (stub endpoints for cross-chunk edges) and
-/// [`crate::stats::stream_stats`] (edge patterns); memory is O(distinct
-/// ids + distinct label sets), never O(property values).
+/// and maps each node id ever seen to its set. [`ChunkedTextReader`]
+/// resolves stub endpoints for cross-chunk edges through it; memory is
+/// O(distinct ids + distinct label sets), never O(property values).
 ///
 /// The registry is exposed so a long-running consumer (`pg-hive watch`) can
 /// carry it across **passes**: extract it from an exhausted reader with
@@ -273,6 +244,7 @@ impl LabelSetRegistry {
 
     /// Register a node id; returns `true` when the id was already present
     /// (the new label set wins).
+    #[cfg(test)]
     pub(crate) fn insert(&mut self, id: &str, labels: &[String]) -> bool {
         let ls = self.intern(labels);
         self.bind(id, ls).1
@@ -418,7 +390,7 @@ impl LabelSetRegistry {
     }
 }
 
-/// Chunks any [`GraphSource`] into independent [`PropertyGraph`]s of
+/// Chunks any [`RawGraphSource`] into independent [`PropertyGraph`]s of
 /// roughly `chunk_size` elements (nodes + edges + endpoint stubs), so a
 /// dataset can be discovered with O(chunk) resident memory via
 /// `Discoverer::discover_stream`.

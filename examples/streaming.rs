@@ -33,9 +33,10 @@ fn main() {
     let source = CsvSource::open_dir(&csv_dir).expect("open CSV dataset");
     let mut reader = ChunkedTextReader::new(source, 50);
     let discoverer = Discoverer::new(PipelineConfig::elsh_adaptive());
-    let result = discoverer.discover_stream(std::iter::from_fn(|| {
-        reader.next_chunk().expect("read chunk")
-    }));
+    let result = discoverer.discover_stream(
+        std::iter::from_fn(|| reader.next_chunk().expect("read chunk")),
+        1,
+    );
 
     println!(
         "streamed {} elements in {} chunks, peak resident {} elements",

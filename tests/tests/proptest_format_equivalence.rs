@@ -1,9 +1,8 @@
-//! Property-based equivalence of the two ingestion paths: the zero-copy
-//! raw parsers (`RawGraphSource` filling a reused `RecordBuf`) and the
-//! owned-record path (`GraphSource` adapted through `OwnedSource`) must be
-//! indistinguishable end to end — byte-identical strict schema text and
-//! identical stream warnings — on randomized graphs serialized through all
-//! three wire formats (pgt, CSV, JSONL) and chunked at randomized sizes.
+//! Property-based equivalence of the three wire formats: one randomized
+//! graph exported as pgt, CSV and JSONL and streamed back through each
+//! format's zero-copy `RawGraphSource` must be indistinguishable end to
+//! end — byte-identical strict schema text and identical stream warnings —
+//! at every chunk size.
 
 use pg_hive_core::serialize::pg_schema_strict;
 use pg_hive_core::{Discoverer, PipelineConfig};
@@ -12,8 +11,7 @@ use pg_hive_graph::stream::csv::{save_edges_csv, save_nodes_csv, CsvSource};
 use pg_hive_graph::stream::jsonl::{save_jsonl, JsonlSource};
 use pg_hive_graph::stream::pgt::PgtSource;
 use pg_hive_graph::{
-    ChunkedTextReader, GraphBuilder, OwnedSource, PropertyGraph, RawGraphSource, StreamWarnings,
-    Value,
+    ChunkedTextReader, GraphBuilder, PropertyGraph, RawGraphSource, StreamWarnings, Value,
 };
 use proptest::prelude::*;
 
@@ -70,43 +68,35 @@ fn stream_strict<S: RawGraphSource>(src: S, chunk_size: usize) -> (String, Strea
         ..PipelineConfig::default()
     });
     let mut reader = ChunkedTextReader::new(src, chunk_size);
-    let result = d.discover_stream(std::iter::from_fn(|| reader.next_chunk().unwrap()));
+    let result = d.discover_stream(std::iter::from_fn(|| reader.next_chunk().unwrap()), 1);
     (pg_schema_strict(&result.schema, "G"), reader.warnings())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// For every format and chunk size, parsing the same serialized bytes
-    /// through the raw path and through the owned-record shim must yield
-    /// the same strict schema text and the same warning counters. Small
-    /// chunk sizes force cross-chunk edges and stub endpoints, so the
-    /// registry and pending-edge machinery is exercised on both paths.
+    /// For every chunk size, streaming the pgt, CSV and JSONL exports of
+    /// the same graph must yield the same strict schema text and the same
+    /// warning counters. Small chunk sizes force cross-chunk edges and stub
+    /// endpoints, so the registry and pending-edge machinery is exercised
+    /// behind every parser.
     #[test]
-    fn raw_and_owned_paths_are_equivalent(g in arb_graph(), chunk_size in 1usize..24) {
+    fn formats_stream_to_identical_schemas(g in arb_graph(), chunk_size in 1usize..24) {
         let pgt = save_text(&g);
-        let raw = stream_strict(PgtSource::new(pgt.as_bytes()), chunk_size);
-        let owned = stream_strict(OwnedSource(PgtSource::new(pgt.as_bytes())), chunk_size);
-        prop_assert_eq!(&raw.0, &owned.0, "pgt schema text diverged");
-        prop_assert_eq!(raw.1, owned.1, "pgt warnings diverged");
+        let via_pgt = stream_strict(PgtSource::new(pgt.as_bytes()), chunk_size);
 
         let nodes_csv = save_nodes_csv(&g);
         let edges_csv = save_edges_csv(&g);
-        let raw = stream_strict(
+        let via_csv = stream_strict(
             CsvSource::new(nodes_csv.as_bytes(), Some(edges_csv.as_bytes())),
             chunk_size,
         );
-        let owned = stream_strict(
-            OwnedSource(CsvSource::new(nodes_csv.as_bytes(), Some(edges_csv.as_bytes()))),
-            chunk_size,
-        );
-        prop_assert_eq!(&raw.0, &owned.0, "csv schema text diverged");
-        prop_assert_eq!(raw.1, owned.1, "csv warnings diverged");
+        prop_assert_eq!(&via_csv.0, &via_pgt.0, "csv schema text diverged from pgt");
+        prop_assert_eq!(via_csv.1, via_pgt.1, "csv warnings diverged from pgt");
 
         let jsonl = save_jsonl(&g);
-        let raw = stream_strict(JsonlSource::new(jsonl.as_bytes()), chunk_size);
-        let owned = stream_strict(OwnedSource(JsonlSource::new(jsonl.as_bytes())), chunk_size);
-        prop_assert_eq!(&raw.0, &owned.0, "jsonl schema text diverged");
-        prop_assert_eq!(raw.1, owned.1, "jsonl warnings diverged");
+        let via_jsonl = stream_strict(JsonlSource::new(jsonl.as_bytes()), chunk_size);
+        prop_assert_eq!(&via_jsonl.0, &via_pgt.0, "jsonl schema text diverged from pgt");
+        prop_assert_eq!(via_jsonl.1, via_pgt.1, "jsonl warnings diverged from pgt");
     }
 }

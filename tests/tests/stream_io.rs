@@ -58,7 +58,7 @@ fn chunked_reader_matches_resident_inventory() {
 
     let text = save_text(&g);
     let mut reader = ChunkedTextReader::new(PgtSource::new(text.as_bytes()), 7);
-    let streamed = d.discover_stream(std::iter::from_fn(|| reader.next_chunk().unwrap()));
+    let streamed = d.discover_stream(std::iter::from_fn(|| reader.next_chunk().unwrap()), 1);
 
     assert_eq!(reader.warnings().unresolved_edges, 0);
     assert!(reader.chunks_emitted() >= 8, "70 elements / chunk 7");

@@ -1,6 +1,6 @@
 //! The determinism contract of the pipeline-parallel streaming engine:
-//! `Discoverer::discover_stream_parallel` must be **byte-identical** to the
-//! serial `discover_stream` — same serialized schema, same element totals,
+//! `Discoverer::discover_stream` with a worker pool must be
+//! **byte-identical** to its serial run — same serialized schema, same element totals,
 //! same chunk count, same ingestion warnings — for every thread count and
 //! every wire format. This is the CI gate behind `BENCH_stream.json`'s
 //! parallel run.
@@ -94,7 +94,7 @@ fn assert_parallel_equals_serial(
 ) -> Result<(), TestCaseError> {
     let d = Discoverer::new(PipelineConfig::elsh_adaptive());
     let (chunks, serial_warnings) = make_chunks();
-    let serial = run_digest(&d.discover_stream(chunks));
+    let serial = run_digest(&d.discover_stream(chunks, 1));
     for threads in 1..=4usize {
         let (chunks, warnings) = make_chunks();
         prop_assert_eq!(
@@ -103,7 +103,7 @@ fn assert_parallel_equals_serial(
             "{} ingestion warnings must not depend on the run",
             format
         );
-        let par = run_digest(&d.discover_stream_parallel(chunks, threads));
+        let par = run_digest(&d.discover_stream(chunks, threads));
         prop_assert_eq!(
             &par,
             &serial,
@@ -151,12 +151,12 @@ proptest! {
         let d = Discoverer::new(PipelineConfig::elsh_adaptive());
         let (chunks, direct_warnings) = chunks_of(PgtSource::new(pgt.as_bytes()), chunk);
         let direct_count = chunks.len();
-        let serial = run_digest(&d.discover_stream(chunks));
+        let serial = run_digest(&d.discover_stream(chunks, 1));
         for (threads, depth) in [(2usize, 1usize), (3, 4)] {
             let source = PgtSource::new(std::io::Cursor::new(pgt.clone().into_bytes()));
             let mut ahead = ReadAheadChunks::spawn(source, chunk, depth);
             let mut err = None;
-            let result = d.discover_stream_parallel(
+            let result = d.discover_stream(
                 std::iter::from_fn(|| match ahead.next_chunk() {
                     Ok(c) => c,
                     Err(e) => { err = Some(e); None }

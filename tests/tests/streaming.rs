@@ -25,7 +25,7 @@ fn person_chunk(offset: i64, with_email: bool) -> PropertyGraph {
 #[test]
 fn stream_merges_chunk_schemas() {
     let d = Discoverer::new(PipelineConfig::elsh_adaptive());
-    let r = d.discover_stream([person_chunk(0, true), person_chunk(100, false)]);
+    let r = d.discover_stream([person_chunk(0, true), person_chunk(100, false)], 1);
     assert_eq!(r.chunk_times.len(), 2);
     assert_eq!(r.elements, 2 * (11 + 10));
     let person = r
@@ -54,7 +54,7 @@ fn stream_joins_datatypes_across_chunks() {
     b.add_node(&["T"], &[("score", Value::Float(1.5))]);
     let c2 = b.finish();
     let d = Discoverer::new(PipelineConfig::elsh_adaptive());
-    let r = d.discover_stream([c1, c2]);
+    let r = d.discover_stream([c1, c2], 1);
     let t = &r.schema.node_types[0];
     assert_eq!(t.props["score"].kind, Some(ValueKind::Float));
 }
@@ -69,7 +69,7 @@ fn stream_cardinality_takes_maxima() {
     let c1 = b.finish();
     let c2 = person_chunk(0, false); // 10 people → 1 org
     let d = Discoverer::new(PipelineConfig::elsh_adaptive());
-    let r = d.discover_stream([c1, c2]);
+    let r = d.discover_stream([c1, c2], 1);
     let works = r
         .schema
         .edge_type_by_labels(&pg_hive_core::label_set(&["WORKS_AT"]))
@@ -110,7 +110,7 @@ fn stream_matches_resident_discovery_on_split_dataset() {
     };
     let c1 = chunk(&edges[..half]);
     let c2 = chunk(&edges[half..]);
-    let streamed = d.discover_stream([c1, c2]);
+    let streamed = d.discover_stream([c1, c2], 1);
 
     let mut a: Vec<_> = resident
         .schema
@@ -132,7 +132,7 @@ fn stream_matches_resident_discovery_on_split_dataset() {
 #[test]
 fn empty_stream_gives_empty_schema() {
     let d = Discoverer::new(PipelineConfig::elsh_adaptive());
-    let r = d.discover_stream(std::iter::empty::<PropertyGraph>());
+    let r = d.discover_stream(std::iter::empty::<PropertyGraph>(), 1);
     assert!(r.schema.node_types.is_empty());
     assert_eq!(r.elements, 0);
 }
